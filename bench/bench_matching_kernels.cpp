@@ -5,7 +5,10 @@
 //   SuffixTree— corrected Algorithm 4 (§3.3), O(k)
 //   Automaton — suffix automaton of X walked over Y, O(k)
 //   SuffixArr — LCP-interval sweep over the suffix array, O(k log k)
-// All five return identical costs (asserted continuously in the test
+// plus the word-parallel Packed offset sweep (strings/packed.hpp), which
+// only exists up to the 128-bit lane (d = 2: k <= 64) and is the kernel
+// undirected_distance runs there.
+// All of them return identical costs (asserted continuously in the test
 // suite); this bench compares their constants, i.e. *which* linear/quadratic
 // algorithm you would actually want at each diameter.
 #include <benchmark/benchmark.h>
@@ -13,6 +16,7 @@
 #include "common/rng.hpp"
 #include "core/common_substring.hpp"
 #include "strings/matching.hpp"
+#include "strings/packed.hpp"
 #include "strings/suffix_automaton.hpp"
 #include "strings/suffix_array.hpp"
 #include "strings/zfunction.hpp"
@@ -69,6 +73,16 @@ BENCHMARK(BM_Kernel<&strings::min_l_cost_suffix_array>)
     ->RangeMultiplier(4)
     ->Range(4, 1 << 13)
     ->Complexity(benchmark::oNLogN);
+
+void BM_PackedSweep(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const strings::PackedBuf x = strings::pack_word(random_word(k, 2, k), 2);
+  const strings::PackedBuf y = strings::pack_word(random_word(k, 2, k + 1), 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(strings::min_l_cost_packed(x, y));
+  }
+}
+BENCHMARK(BM_PackedSweep)->RangeMultiplier(4)->Range(4, 64);
 
 }  // namespace
 

@@ -8,6 +8,10 @@
 // run the identical pair stream over DN(2,16) so the derived row
 // derived/deflection_cost = classify / rescore is a like-for-like ratio.
 //
+// Per-hop decision — BM_AdaptiveHop times one fault-free adaptive_route
+// walk per batch of iterations, charged per hop: the simulator's per-hop
+// layer as its own number.
+//
 // Injection sweep — BM_Saturation{Greedy,Deflect,LayerTable} drive the
 // discrete-event simulator on DN(2,8) with finite link queues across
 // offered loads (Arg = injection rate per site, in percent). Delivered
@@ -26,6 +30,7 @@
 #include "core/distance.hpp"
 #include "core/layer_table.hpp"
 #include "debruijn/graph.hpp"
+#include "net/adaptive.hpp"
 #include "net/load_stats.hpp"
 #include "net/simulator.hpp"
 #include "net/traffic.hpp"
@@ -102,6 +107,44 @@ void BM_LayerTableClassify(benchmark::State& state) {
                           static_cast<std::int64_t>(kDecisions));
 }
 BENCHMARK(BM_LayerTableClassify)->Arg(16);
+
+// Per-hop decision — the simulator's per-hop layer as one row: fault-free
+// adaptive_route walks (re-scoring, no layer table) over a fixed pair
+// stream on DN(2,Arg). A fault-free walk is exact, so walk i takes
+// D(x_i, y_i) hops; each walk is charged that many iterations and the
+// reported time is per hop.
+void BM_AdaptiveHop(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const DeBruijnGraph graph(2, k, Orientation::Undirected);
+  const std::vector<bool> none(graph.vertex_count(), false);
+  struct Walk {
+    Word x;
+    Word y;
+    int hops;
+  };
+  std::vector<Walk> walks;
+  Rng pick(98);
+  while (walks.size() < kDecisions) {
+    const Word x = graph.word(pick.below(graph.vertex_count()));
+    const Word y = graph.word(pick.below(graph.vertex_count()));
+    const int hops = undirected_distance(x, y);
+    if (hops > 0) {
+      walks.push_back(Walk{x, y, hops});
+    }
+  }
+  Rng rng(5);
+  std::size_t i = 0;
+  std::uint64_t acc = 0;
+  while (state.KeepRunningBatch(walks[i].hops)) {
+    const net::AdaptiveResult r =
+        net::adaptive_route(graph, none, walks[i].x, walks[i].y, rng);
+    acc += static_cast<std::uint64_t>(r.hops);
+    i = (i + 1) % walks.size();
+  }
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AdaptiveHop)->Arg(8);
 
 // --- Injection-rate sweep ---------------------------------------------------
 

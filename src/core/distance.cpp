@@ -7,6 +7,7 @@
 #include "core/common_substring.hpp"
 #include "strings/failure.hpp"
 #include "strings/matching.hpp"
+#include "strings/packed.hpp"
 #include "strings/suffix_automaton.hpp"
 
 namespace dbn {
@@ -16,6 +17,17 @@ namespace {
 void check_pair(const Word& x, const Word& y) {
   DBN_REQUIRE(x.radix() == y.radix() && x.length() == y.length(),
               "distance endpoints must share radix and length");
+}
+
+// Theorem 2 on two lanes: D1 by the full l-side sweep, D2 by the sweep
+// on the reversed lanes pruned against D1 (its result is exact whenever it
+// is below D1, which is all the minimum needs).
+int packed_distance(const strings::PackedBuf& x, const strings::PackedBuf& y) {
+  const int d1 = strings::min_l_cost_packed(x, y).cost;
+  const int d2 = strings::min_l_cost_packed_bounded(
+                     strings::reverse_cells(x), strings::reverse_cells(y), d1)
+                     .cost;
+  return std::min(d1, d2);
 }
 
 }  // namespace
@@ -40,22 +52,38 @@ int undirected_distance_quadratic(const Word& x, const Word& y) {
 
 int undirected_distance(const Word& x, const Word& y) {
   check_pair(x, y);
-  // The suffix-automaton kernel: same Theorem 2 minimum as the suffix-tree
-  // form of Algorithm 4 (cross-checked continuously in the tests), with
-  // the best measured constants of the linear engines (EXPERIMENTS.md A1).
-  const int d1 =
-      strings::min_l_cost_suffix_automaton(x.symbols(), y.symbols()).cost;
-  const Word xr = x.reversed();
-  const Word yr = y.reversed();
-  const int d2 =
-      strings::min_l_cost_suffix_automaton(xr.symbols(), yr.symbols()).cost;
-  const int d = std::min(d1, d2);
+  const std::uint32_t radix = x.radix();
+  int d = 0;
+  if (strings::packable(radix, x.length())) {
+    d = packed_distance(strings::pack_word(x.symbols(), radix),
+                        strings::pack_word(y.symbols(), radix));
+  } else {
+    const int d1 =
+        strings::min_l_cost_suffix_automaton(x.symbols(), y.symbols()).cost;
+    const Word xr = x.reversed();
+    const Word yr = y.reversed();
+    const int d2 =
+        strings::min_l_cost_suffix_automaton(xr.symbols(), yr.symbols())
+            .cost;
+    d = std::min(d1, d2);
+  }
   // D(X,Y) = min(D1, D2) of Theorem 2; both candidates are bounded by the
   // diameter k, and at audit level the O(k^2) scan must agree.
   DBN_ENSURE(d >= 0 && d <= static_cast<int>(x.length()),
              "undirected distance must lie in [0, k]");
   DBN_AUDIT(d == undirected_distance_quadratic(x, y),
             "linear kernels must agree with the quadratic reference");
+  return d;
+}
+
+int undirected_distance(const PackedWord& x, const PackedWord& y) {
+  DBN_REQUIRE(x.radix() == y.radix() && x.length() == y.length(),
+              "distance endpoints must share radix and length");
+  const int d = packed_distance(x.packed(), y.packed());
+  DBN_ENSURE(d >= 0 && d <= static_cast<int>(x.length()),
+             "undirected distance must lie in [0, k]");
+  DBN_AUDIT(d == undirected_distance_quadratic(x.to_word(), y.to_word()),
+            "packed kernel must agree with the quadratic reference");
   return d;
 }
 

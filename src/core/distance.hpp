@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "debruijn/packed_word.hpp"
 #include "debruijn/word.hpp"
 
 namespace dbn {
@@ -15,11 +16,24 @@ int directed_distance(const Word& x, const Word& y);
 /// scan (Algorithms 2/3).
 int undirected_distance_quadratic(const Word& x, const Word& y);
 
-/// Theorem 2: the undirected distance in O(k). Uses the suffix-automaton
-/// engine (the fastest of the library's linear kernels, EXPERIMENTS.md A1);
-/// identical results to the Algorithm 4 suffix-tree form, which remains
-/// available through route_bidirectional_suffix_tree / common_substring.hpp.
+/// Theorem 2: the undirected distance min(D1, D2), cost only. Two regimes:
+///   - packed (strings::packable(d, k): d <= 4 up to k = 64, d <= 16 up to
+///     k = 32): both words are packed into one lane and D1, D2 come from
+///     the packed offset sweeps — min_l_cost_packed, then
+///     min_l_cost_packed_bounded on the reversed lanes against D1. This is
+///     the route engine's packed_minima reduction without the witnesses;
+///     no allocation, ~0.2 us at k = 8 and ~0.4 us at k = 16 including the
+///     packing (BM_UndirectedFormula; EXPERIMENTS.md A1 has the kernels).
+///   - scalar (every other (d, k)): the suffix-automaton kernel on the
+///     words and on their reversals, O(k).
+/// Both agree with the Algorithm 4 suffix-tree form and, at audit level,
+/// with undirected_distance_quadratic on every call.
 int undirected_distance(const Word& x, const Word& y);
+
+/// The packed regime of undirected_distance on already-packed vertices:
+/// hot loops that hold PackedWords (the adaptive router packs each
+/// neighbor straight from its rank) skip the Word round trip.
+int undirected_distance(const PackedWord& x, const PackedWord& y);
 
 /// Equation (5) as printed in the paper:
 /// delta(d,k) = k - (1 - alpha^k) * alpha / (1 - alpha), alpha = 1/d.

@@ -77,6 +77,10 @@ class LayerTable {
       return dist_[rank];
     }
 
+    /// distance() as a call: a View is a distance source for
+    /// net::adaptive_step.
+    int operator()(std::uint64_t rank) const { return distance(rank); }
+
     /// The layer trichotomy for one neighbor of `from_rank` — the O(1)
     /// deflection decision: two loads and a compare.
     DistanceLayer classify(std::uint64_t from_rank,

@@ -27,6 +27,13 @@ std::uint64_t DeBruijnGraph::right_shift_rank(std::uint64_t rank, Digit a) const
 
 std::vector<std::uint64_t> DeBruijnGraph::neighbors(std::uint64_t rank) const {
   std::vector<std::uint64_t> out;
+  neighbors_into(rank, out);
+  return out;
+}
+
+void DeBruijnGraph::neighbors_into(std::uint64_t rank,
+                                   std::vector<std::uint64_t>& out) const {
+  out.clear();
   out.reserve(2 * radix_);
   for (Digit a = 0; a < radix_; ++a) {
     out.push_back(left_shift_rank(rank, a));
@@ -39,7 +46,6 @@ std::vector<std::uint64_t> DeBruijnGraph::neighbors(std::uint64_t rank) const {
     out.erase(std::unique(out.begin(), out.end()), out.end());
     out.erase(std::remove(out.begin(), out.end(), rank), out.end());
   }
-  return out;
 }
 
 bool DeBruijnGraph::has_edge(std::uint64_t from, std::uint64_t to) const {

@@ -42,6 +42,11 @@ class DeBruijnGraph {
   /// vertex itself excluded (self-loops never shorten a path).
   std::vector<std::uint64_t> neighbors(std::uint64_t rank) const;
 
+  /// neighbors(rank), same order, written into `out` (cleared first): a
+  /// caller that reuses `out` across calls allocates nothing once warmed.
+  void neighbors_into(std::uint64_t rank,
+                      std::vector<std::uint64_t>& out) const;
+
   /// True iff a single move goes from `from` to `to`.
   bool has_edge(std::uint64_t from, std::uint64_t to) const;
 

@@ -1,5 +1,7 @@
 #include "debruijn/packed_word.hpp"
 
+#include <bit>
+
 #include "common/contract.hpp"
 
 namespace dbn {
@@ -41,6 +43,25 @@ Word PackedWord::to_word() const {
 
 PackedWord PackedWord::from_rank(std::uint32_t radix, std::size_t k,
                                  std::uint64_t rank) {
+  if (std::has_single_bit(radix)) {
+    // d = 2^b (d = 1 included, b = 0): digit x_{i+1} is bit group k-1-i of
+    // the rank, so unpacking is shifts and masks — no division. This is
+    // the adaptive router's per-neighbor pack, so it stays loop-cheap.
+    const auto b = static_cast<std::uint32_t>(std::countr_zero(radix));
+    const std::size_t rank_bits = b * k;
+    DBN_REQUIRE(rank_bits < 64, "d^k does not fit in 64 bits");
+    DBN_REQUIRE(rank >> rank_bits == 0,
+                "from_rank: rank out of range [0, d^k)");
+    PackedWord out(radix, k);
+    const std::uint32_t width = out.buf_.width;
+    __uint128_t bits = 0;
+    for (std::size_t i = k; i-- > 0;) {
+      bits |= static_cast<__uint128_t>(rank & (radix - 1)) << (i * width);
+      rank >>= b;
+    }
+    out.buf_.bits = bits;
+    return out;
+  }
   const std::uint64_t n = Word::vertex_count(radix, k);
   DBN_REQUIRE(rank < n, "from_rank: rank out of range [0, d^k)");
   PackedWord out(radix, k);

@@ -1,6 +1,5 @@
 #include "net/adaptive.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/contract.hpp"
@@ -8,6 +7,40 @@
 #include "obs/trace.hpp"
 
 namespace dbn::net {
+
+RescoreDistance::RescoreDistance(const DeBruijnGraph& graph,
+                                 std::uint64_t destination)
+    : graph_(graph) {
+  if (PackedWord::packable(graph.radix(), graph.k())) {
+    packed_y_ = PackedWord::from_rank(graph.radix(), graph.k(), destination);
+  } else {
+    word_y_ = graph.word(destination);
+  }
+}
+
+int RescoreDistance::operator()(std::uint64_t rank) const {
+  if (packed_y_.has_value()) {
+    return undirected_distance(
+        PackedWord::from_rank(graph_.radix(), graph_.k(), rank), *packed_y_);
+  }
+  return undirected_distance(graph_.word(rank), *word_y_);
+}
+
+namespace {
+
+const char* move_name(AdaptiveMove move) {
+  switch (move) {
+    case AdaptiveMove::Improve:
+      return "improve";
+    case AdaptiveMove::Sideways:
+      return "sideways";
+    case AdaptiveMove::Deflect:
+      return "deflect";
+  }
+  return "?";
+}
+
+}  // namespace
 
 AdaptiveResult adaptive_route(const DeBruijnGraph& graph,
                               const std::vector<bool>& failed, const Word& x,
@@ -30,10 +63,8 @@ AdaptiveResult adaptive_route(const DeBruijnGraph& graph,
   // and every per-hop decision below is plain array reads.
   const std::shared_ptr<const LayerTable::View> view =
       config.layers != nullptr ? config.layers->view(y) : nullptr;
-  const auto distance_to_y = [&](const Word& w) {
-    return view != nullptr ? view->distance(w.rank())
-                           : undirected_distance(w, y);
-  };
+  const std::uint64_t target = y.rank();
+  const RescoreDistance rescore(graph, target);
 
   // 4k covers greedy walks with detours for k >= 2; at k = 1 it leaves a
   // 4-hop budget that real fault clusters exhaust, so floor it.
@@ -50,12 +81,10 @@ AdaptiveResult adaptive_route(const DeBruijnGraph& graph,
         .arg(obs::targ("ttl", ttl))
         .arg(obs::targ("scoring", view != nullptr ? "layer-table" : "rescore"));
   }
-  Word at = x;
+  AdaptiveScratch scratch;
+  std::uint64_t at = x.rank();
   std::uint64_t previous = graph.vertex_count();  // sentinel: no previous
-  std::vector<Word> improving;  // layer Closer
-  std::vector<Word> sideways;   // layer Same
-  std::vector<Word> backward;   // nearest Farther layer
-  while (!(at == y)) {
+  while (at != target) {
     if (result.hops >= ttl) {
       if (span) {
         span.arg(obs::targ("delivered", "false"))
@@ -64,88 +93,30 @@ AdaptiveResult adaptive_route(const DeBruijnGraph& graph,
       }
       return result;  // undelivered
     }
-    const int here = distance_to_y(at);
-    improving.clear();
-    sideways.clear();
-    backward.clear();
-    int backward_best = 0;
-    for (const std::uint64_t r : graph.neighbors(at.rank())) {
-      if (failed[r]) {
-        continue;
+    const std::optional<AdaptiveStep> step =
+        view != nullptr
+            ? adaptive_step(graph, failed, at, previous, config.jitter,
+                            config.deflect, rng, scratch, *view)
+            : adaptive_step(graph, failed, at, previous, config.jitter,
+                            config.deflect, rng, scratch, rescore);
+    if (!step.has_value()) {
+      if (span) {
+        span.arg(obs::targ("delivered", "false"))
+            .arg(obs::targ("reason", "stuck"));
+        span.end(static_cast<double>(result.hops));
       }
-      const Word next = graph.word(r);
-      const int dist = distance_to_y(next);
-      const DistanceLayer layer = dist < here    ? DistanceLayer::Closer
-                                  : dist == here ? DistanceLayer::Same
-                                                 : DistanceLayer::Farther;
-      switch (layer) {
-        case DistanceLayer::Closer:
-          improving.push_back(next);
-          break;
-        case DistanceLayer::Same:
-          sideways.push_back(next);
-          break;
-        case DistanceLayer::Farther:
-          if (!config.deflect) {
-            break;
-          }
-          // In the undirected DG every Farther neighbor sits exactly one
-          // layer out (the distance is a graph metric), so this minimum is
-          // trivially the whole pool; tracking it keeps the deflection
-          // choice well-defined for any distance source.
-          if (backward.empty() || dist < backward_best) {
-            backward_best = dist;
-            backward.clear();
-          }
-          if (dist == backward_best) {
-            backward.push_back(next);
-          }
-          break;
-      }
+      return result;  // stuck: every live neighbor is dead or none exist
     }
-    const bool take_sideways =
-        improving.empty() ||
-        (!sideways.empty() && rng.chance(config.jitter));
-    const std::vector<Word>* pool = take_sideways ? &sideways : &improving;
-    bool deflected = false;
-    if (pool->empty()) {
-      if (backward.empty()) {
-        if (span) {
-          span.arg(obs::targ("delivered", "false"))
-              .arg(obs::targ("reason", "stuck"));
-          span.end(static_cast<double>(result.hops));
-        }
-        return result;  // stuck: every live neighbor is dead or none exist
-      }
-      // Deflect: retreat along the nearest Farther layer, but never
-      // straight back to where we came from when any other escape exists.
-      if (backward.size() > 1) {
-        std::vector<Word> away;
-        for (const Word& w : backward) {
-          if (w.rank() != previous) {
-            away.push_back(w);
-          }
-        }
-        if (!away.empty()) {
-          backward = std::move(away);
-        }
-      }
-      pool = &backward;
-      deflected = true;
-    }
-    previous = at.rank();
-    at = (*pool)[rng.below(pool->size())];
+    previous = at;
+    at = step->next;
     ++result.hops;
-    result.deflections += deflected;
-    const bool moved_sideways = !deflected && pool == &sideways;
-    result.sideways_moves += moved_sideways;
+    result.deflections += step->move == AdaptiveMove::Deflect;
+    result.sideways_moves += step->move == AdaptiveMove::Sideways;
     if (span) {
       span.instant("hop", static_cast<double>(result.hops - 1),
-                   {obs::targ("to", at.to_string()),
-                    obs::targ("move", deflected        ? "deflect"
-                              : moved_sideways ? "sideways"
-                                               : "improve"),
-                    obs::targ("dist", here)});
+                   {obs::targ("to", graph.word(at).to_string()),
+                    obs::targ("move", move_name(step->move)),
+                    obs::targ("dist", step->here)});
     }
   }
   result.delivered = true;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contract.hpp"
-#include "core/distance.hpp"
 #include "core/hop_by_hop.hpp"
 #include "obs/trace.hpp"
 
@@ -314,71 +313,25 @@ void Simulator::drop(std::size_t flight_index, DropReason reason,
   }
 }
 
-std::optional<std::uint64_t> Simulator::adaptive_next(InFlight& flight,
-                                                      std::uint64_t at,
-                                                      bool& deflected) {
-  const Word& dest = flight.message.destination;
-  if (layers_ != nullptr && flight.view == nullptr) {
-    // Pin the destination's table once per message; every hop after this
-    // classifies neighbors with plain array reads.
-    flight.view = layers_->view(dest);
+std::optional<AdaptiveStep> Simulator::adaptive_next(InFlight& flight,
+                                                     std::uint64_t at) {
+  // The decision rule of net/adaptive.hpp (adaptive_step): Closer first,
+  // Same as a jittered escape, nearest Farther layer as the deflection
+  // fallback. Sites always deflect rather than give up.
+  if (layers_ != nullptr) {
+    if (flight.view == nullptr) {
+      // Pin the destination's table once per message; every hop after this
+      // classifies neighbors with plain array reads.
+      flight.view = layers_->view(flight.message.destination);
+    }
+    return adaptive_step(graph_, failed_, at, flight.previous,
+                         config_.adaptive_jitter, /*deflect=*/true, rng_,
+                         scratch_, *flight.view);
   }
-  const LayerTable::View* view = flight.view.get();
-  const auto dist_to = [&](std::uint64_t r) {
-    return view != nullptr ? view->distance(r)
-                           : undirected_distance(graph_.word(r), dest);
-  };
-  // The decision rule of net/adaptive.hpp, verbatim: Closer first, Same as
-  // a jittered escape, nearest Farther layer as the deflection fallback.
-  const int here = dist_to(at);
-  std::vector<std::uint64_t> improving;
-  std::vector<std::uint64_t> sideways;
-  std::vector<std::uint64_t> backward;
-  int backward_best = 0;
-  for (const std::uint64_t r : graph_.neighbors(at)) {
-    if (failed_[r]) {
-      continue;
-    }
-    const int dist = dist_to(r);
-    if (dist < here) {
-      improving.push_back(r);
-    } else if (dist == here) {
-      sideways.push_back(r);
-    } else {
-      if (backward.empty() || dist < backward_best) {
-        backward_best = dist;
-        backward.clear();
-      }
-      if (dist == backward_best) {
-        backward.push_back(r);
-      }
-    }
-  }
-  const bool take_sideways =
-      improving.empty() ||
-      (!sideways.empty() && rng_.chance(config_.adaptive_jitter));
-  const std::vector<std::uint64_t>* pool =
-      take_sideways ? &sideways : &improving;
-  deflected = false;
-  if (pool->empty()) {
-    if (backward.empty()) {
-      return std::nullopt;  // stuck: every live neighbor is dead
-    }
-    if (backward.size() > 1) {
-      std::vector<std::uint64_t> away;
-      for (const std::uint64_t r : backward) {
-        if (r != flight.previous) {
-          away.push_back(r);
-        }
-      }
-      if (!away.empty()) {
-        backward = std::move(away);
-      }
-    }
-    pool = &backward;
-    deflected = true;
-  }
-  return (*pool)[rng_.below(pool->size())];
+  return adaptive_step(
+      graph_, failed_, at, flight.previous, config_.adaptive_jitter,
+      /*deflect=*/true, rng_, scratch_,
+      RescoreDistance(graph_, flight.message.destination.rank()));
 }
 
 void Simulator::arrive(std::size_t flight_index) {
@@ -403,19 +356,17 @@ void Simulator::arrive(std::size_t flight_index) {
       drop(flight_index, DropReason::Ttl, at);
       return;
     }
-    bool deflected = false;
-    const std::optional<std::uint64_t> next =
-        adaptive_next(flight, at, deflected);
-    if (!next.has_value()) {
+    const std::optional<AdaptiveStep> step = adaptive_next(flight, at);
+    if (!step.has_value()) {
       // A dead neighborhood is a fault outcome: the site is alive but
       // every exit is down.
       drop(flight_index, DropReason::Fault, at);
       return;
     }
-    to = *next;
+    to = step->next;
     shift_label = "A";  // adaptive moves are not tied to one shift type
     flight.previous = at;
-    stats_.adaptive_deflections += deflected;
+    stats_.adaptive_deflections += step->move == AdaptiveMove::Deflect;
   } else {
     Hop hop;
     if (config_.forwarding == ForwardingMode::SourceRouted) {

@@ -26,6 +26,7 @@
 #include "common/rng.hpp"
 #include "core/layer_table.hpp"
 #include "debruijn/graph.hpp"
+#include "net/adaptive.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
 
@@ -53,7 +54,7 @@ enum class ForwardingMode {
 /// identical choices; they differ only in per-hop cost (the saturation
 /// benchmark's subject).
 enum class AdaptiveScoring {
-  Rescore,     // O(k) Theorem-2 distance per neighbor per hop
+  Rescore,     // Theorem-2 distance per neighbor per hop (RescoreDistance)
   LayerTable,  // O(1) reads from a cached per-destination layer table
 };
 
@@ -239,12 +240,11 @@ class Simulator {
   void drop(std::size_t flight_index, DropReason reason, std::uint64_t at);
   Digit resolve_wildcard(std::uint64_t at, ShiftType type, Rng& rng);
   std::uint64_t shift_target(std::uint64_t at, ShiftType type, Digit digit) const;
-  /// The adaptive next hop from `at`, or nullopt when the walk is stuck
-  /// (every candidate neighbor is dead). Consumes rng_ draws; sets
-  /// `deflected` when the move retreats a layer.
-  std::optional<std::uint64_t> adaptive_next(InFlight& flight,
-                                             std::uint64_t at,
-                                             bool& deflected);
+  /// The adaptive next hop from `at` (net/adaptive.hpp's adaptive_step),
+  /// or nullopt when the walk is stuck (every candidate neighbor is dead).
+  /// Consumes rng_ draws.
+  std::optional<AdaptiveStep> adaptive_next(InFlight& flight,
+                                            std::uint64_t at);
   void schedule(double time, std::size_t flight_index);
 
   SimConfig config_;
@@ -258,6 +258,7 @@ class Simulator {
   std::size_t schedule_cursor_ = 0;
   std::unique_ptr<LayerTable> layers_;  // Adaptive + LayerTable scoring
   int adaptive_ttl_ = 0;                // resolved (floor applied)
+  AdaptiveScratch scratch_;  // per-hop pools, cleared by every decision
   SimStats stats_;
   std::vector<Trace> traces_;
   Rng rng_;

@@ -1,5 +1,6 @@
 #include "testkit/oracle.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <utility>
 
@@ -14,6 +15,7 @@
 #include "core/routing_table.hpp"
 #include "debruijn/bfs.hpp"
 #include "debruijn/kautz_routing.hpp"
+#include "strings/suffix_automaton.hpp"
 
 namespace dbn::testkit {
 
@@ -71,7 +73,17 @@ class Alg4SuffixAutomatonOracle final : public RouteOracle {
  public:
   std::string_view name() const override { return "alg4-sam"; }
   int distance(const Word& x, const Word& y) override {
-    return undirected_distance(x, y);  // the linear suffix-automaton kernel
+    // The suffix-automaton kernel on both orientations, called directly:
+    // undirected_distance runs the packed sweep wherever (d, k) packs, so
+    // going through it would make this a second copy of the packed oracle.
+    const int d1 =
+        strings::min_l_cost_suffix_automaton(x.symbols(), y.symbols()).cost;
+    const Word xr = x.reversed();
+    const Word yr = y.reversed();
+    const int d2 =
+        strings::min_l_cost_suffix_automaton(xr.symbols(), yr.symbols())
+            .cost;
+    return std::min(d1, d2);
   }
   std::optional<RoutingPath> route(const Word& x, const Word& y) override {
     return route_bidirectional_suffix_automaton(x, y);

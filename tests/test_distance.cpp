@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "core/distance.hpp"
 #include "debruijn/bfs.hpp"
+#include "debruijn/packed_word.hpp"
+#include "strings/packed.hpp"
+#include "testkit/word_families.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {
@@ -41,7 +45,7 @@ TEST_P(DistanceGrid, UndirectedFormulaMatchesBfsAllPairs) {
           << "Theorem 2 (O(k^2) scan) X=" << x.to_string()
           << " Y=" << y.to_string();
       EXPECT_EQ(undirected_distance(x, y), quadratic)
-          << "suffix-tree distance X=" << x.to_string()
+          << "undirected_distance X=" << x.to_string()
           << " Y=" << y.to_string();
     }
   }
@@ -92,6 +96,54 @@ TEST(Distance, LinearAndQuadraticAgreeOnLargeRandomWords) {
       EXPECT_EQ(undirected_distance(x, y), undirected_distance_quadratic(x, y))
           << "d=" << d << " k=" << k << " X=" << x.to_string()
           << " Y=" << y.to_string();
+    }
+  }
+}
+
+TEST(Distance, LinearAndQuadraticAgreeAtTheLaneBoundaries) {
+  // undirected_distance runs the packed sweep where strings::packable(d, k)
+  // holds and the scalar suffix-automaton kernel elsewhere. Straddle each
+  // edge of the 128-bit lane (2-bit cells up to k = 64, 4-bit cells up to
+  // k = 32, no cells past d = 16) plus the one-letter alphabet, on uniform
+  // words and on every adversarial word/pair family of the testkit.
+  struct Case {
+    std::uint32_t d;
+    std::size_t k;
+    bool packed;
+  };
+  const Case cases[] = {
+      {2, 63, true},  {2, 64, true},   {2, 65, false}, {4, 64, true},
+      {4, 65, false}, {16, 32, true},  {16, 33, false}, {17, 4, false},
+      {1, 1, true},   {1, 64, true},   {1, 65, false},
+  };
+  DBN_SEEDED_RNG(rng, 2026);
+  for (const Case& c : cases) {
+    ASSERT_EQ(strings::packable(c.d, c.k), c.packed)
+        << "d=" << c.d << " k=" << c.k << " sits on the wrong side of the lane";
+    const auto check = [&](const Word& x, const Word& y, std::string_view how) {
+      const int expected = undirected_distance_quadratic(x, y);
+      EXPECT_EQ(undirected_distance(x, y), expected)
+          << how << " d=" << c.d << " k=" << c.k << " X=" << x.to_string()
+          << " Y=" << y.to_string();
+      if (c.packed) {
+        EXPECT_EQ(undirected_distance(PackedWord::from_word(x),
+                                      PackedWord::from_word(y)),
+                  expected)
+            << how << " (PackedWord) d=" << c.d << " k=" << c.k
+            << " X=" << x.to_string() << " Y=" << y.to_string();
+      }
+    };
+    for (int trial = 0; trial < 20; ++trial) {
+      check(testing::random_word(rng, c.d, c.k),
+            testing::random_word(rng, c.d, c.k), "uniform");
+    }
+    for (const testkit::WordFamily wf : testkit::kAllWordFamilies) {
+      for (const testkit::PairFamily pf : testkit::kAllPairFamilies) {
+        for (int trial = 0; trial < 3; ++trial) {
+          const auto [x, y] = testkit::sample_pair(rng, c.d, c.k, wf, pf);
+          check(x, y, testkit::family_name(wf));
+        }
+      }
     }
   }
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/contract.hpp"
 #include "common/rng.hpp"
 #include "core/distance.hpp"
@@ -233,6 +237,100 @@ TEST(Simulator, RejectsBadConfigAndUsage) {
   const Word wrong(3, {0, 1, 2});
   EXPECT_THROW(sim.inject(0.0, data_message(wrong, wrong)), ContractViolation);
   EXPECT_THROW(sim.fail_node(8), ContractViolation);
+}
+
+// FNV-1a over the per-delivery hop counts and the bit patterns of the
+// latencies: one number that changes if any single delivery changes.
+std::uint64_t delivery_hash(const SimStats& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const std::uint64_t hops : s.hop_counts) {
+    mix(hops);
+  }
+  for (const double latency : s.latencies) {
+    mix(std::bit_cast<std::uint64_t>(latency));
+  }
+  return h;
+}
+
+SimStats run_adaptive(const SimConfig& config, double rate, double duration,
+                      std::uint64_t traffic_seed,
+                      const std::vector<std::uint64_t>& faults = {}) {
+  Simulator sim(config);
+  for (const std::uint64_t r : faults) {
+    sim.fail_node(r);
+  }
+  Rng rng(traffic_seed);
+  for (const Injection& inj :
+       uniform_traffic(config.radix, config.k, rate, duration, rng)) {
+    if (sim.is_failed(inj.source) || sim.is_failed(inj.destination)) {
+      continue;
+    }
+    sim.inject(inj.time,
+               Message(ControlCode::Data,
+                       Word::from_rank(config.radix, config.k, inj.source),
+                       Word::from_rank(config.radix, config.k,
+                                       inj.destination),
+                       RoutingPath()));
+  }
+  sim.run();
+  return sim.stats();
+}
+
+SimConfig adaptive_config(std::size_t k) {
+  SimConfig config;
+  config.radix = 2;
+  config.k = k;
+  config.orientation = Orientation::Undirected;
+  config.link_queue_capacity = 4;
+  config.forwarding = ForwardingMode::Adaptive;
+  config.seed = 20260806;
+  return config;
+}
+
+TEST(Simulator, AdaptiveRescoreMatchesGoldenStats) {
+  // Every per-hop decision of the adaptive simulator, pinned: the golden
+  // numbers were recorded from the original Word-based rescoring path, so
+  // any change to neighbor order, pool contents or the RNG draw sequence
+  // shows up here.
+  const SimStats s = run_adaptive(adaptive_config(8), 0.35, 20.0, 77);
+  EXPECT_EQ(s.injected, 1810u);
+  EXPECT_EQ(s.delivered, 1788u);
+  EXPECT_EQ(s.total_hops, 8983u);
+  EXPECT_EQ(s.dropped_overflow, 22u);
+  EXPECT_EQ(s.adaptive_deflections, 0u);
+  EXPECT_EQ(delivery_hash(s), 990463995636083925u);
+}
+
+TEST(Simulator, AdaptiveLayerTableMatchesRescoreUnderFaultsAndJitter) {
+  // The deflection branch and the jitter draw only run when faults force
+  // them; both scorings must still make the same choice at every hop.
+  SimConfig config = adaptive_config(6);
+  config.adaptive_jitter = 0.3;
+  const std::vector<std::uint64_t> faults = {1, 6, 11, 21, 30, 42, 53, 60};
+  const SimStats rescore = run_adaptive(config, 0.3, 30.0, 78, faults);
+  config.adaptive_scoring = AdaptiveScoring::LayerTable;
+  const SimStats tabled = run_adaptive(config, 0.3, 30.0, 78, faults);
+  EXPECT_GT(rescore.adaptive_deflections, 0u);
+  EXPECT_EQ(rescore.injected, tabled.injected);
+  EXPECT_EQ(rescore.delivered, tabled.delivered);
+  EXPECT_EQ(rescore.total_hops, tabled.total_hops);
+  EXPECT_EQ(rescore.dropped_fault, tabled.dropped_fault);
+  EXPECT_EQ(rescore.dropped_overflow, tabled.dropped_overflow);
+  EXPECT_EQ(rescore.dropped_ttl, tabled.dropped_ttl);
+  EXPECT_EQ(rescore.adaptive_deflections, tabled.adaptive_deflections);
+  EXPECT_EQ(rescore.hop_counts, tabled.hop_counts);
+  EXPECT_EQ(rescore.latencies, tabled.latencies);
+  // Pinned too, so a change common to both scorings cannot slip through.
+  EXPECT_EQ(rescore.delivered, 394u);
+  EXPECT_EQ(rescore.total_hops, 1692u);
+  EXPECT_EQ(rescore.adaptive_deflections, 216u);
+  EXPECT_EQ(delivery_hash(rescore), 3347285970559065680u);
 }
 
 }  // namespace
